@@ -1,9 +1,8 @@
-// Execution-tier benchmark: the four paper kernel families (MTTKRP-3/4,
-// TTMc-3, TTTP-3) timed on ONE planned FusedExecutor under both tiers —
-// the recursive interpreter and the lowered flat program — against the
-// hand-specialized kernels of specialized.cpp as the tight-loop ceiling.
-// The lowered column is the tier the KernelCache serves by default; the
-// specialized column bounds how much headroom remains.
+// Executor benchmark: the four paper kernel families (MTTKRP-3/4, TTMc-3,
+// TTTP-3) timed on one planned FusedExecutor (the lowered program every
+// execution runs) against the hand-specialized kernels of specialized.cpp
+// as the tight-loop ceiling. The ratio column is how much headroom the
+// generic lowered form leaves on each family.
 //
 //   bench_kernels                     # table on stdout
 //   bench_kernels --json=out.json     # also emit the machine-readable run
@@ -11,6 +10,7 @@
 //                                     # BENCH_kernels.json is a checked-in
 //                                     # Release run)
 #include <fstream>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "util/cli.hpp"
@@ -24,22 +24,37 @@ struct KernelRow {
   std::string kernel;
   std::int64_t nnz = 0;
   int lowered_regions = 0;
-  double interp_s = 0;
   double lowered_s = 0;
   double spec_s = 0;  // 0 when no specialized implementation applies
 };
 
-/// Time one executor under a tier; the plan (and the partitioning it
-/// implies) is shared across tiers so the comparison isolates dispatch.
-double time_tier(FusedExecutor& exec, const Problem& p, Output& o,
-                 ExecTier tier, int reps) {
+/// Time one single-thread execution of `exec`; `regions` receives the
+/// executed region census.
+double time_exec(FusedExecutor& exec, const Problem& p, Output& o, int reps,
+                 int* regions) {
+  ExecStats stats;
   ExecArgs args;
   args.sparse = &p.bound.csf;
   args.dense = p.bound.dense;
   args.out_dense = o.sparse_vals.empty() ? &o.dense : nullptr;
   args.out_sparse = o.sparse_vals;
-  args.tier = tier;
-  return time_median([&] { exec.execute(args); }, reps);
+  args.stats = &stats;
+  const double s = time_median([&] { exec.execute(args); }, reps);
+  *regions = stats.lowered_regions;
+  return s;
+}
+
+/// Core count and compiler of the machine the numbers come from.
+std::string host_note() {
+  return strfmt("%u cores, %s", std::thread::hardware_concurrency(),
+#if defined(__clang__)
+                "clang " __clang_version__
+#elif defined(__GNUC__)
+                "GCC " __VERSION__
+#else
+                "unknown compiler"
+#endif
+  );
 }
 
 }  // namespace
@@ -74,11 +89,10 @@ int main(int argc, char** argv) {
   };
 
   std::vector<KernelRow> rows;
-  Table table(strfmt("Execution tiers — interpreted vs lowered vs "
-                     "specialized, R=%lld",
+  Table table(strfmt("Executor — lowered vs specialized, R=%lld",
                      static_cast<long long>(*rank)));
-  table.set_header({"kernel", "nnz", "regions", "interp[s]", "lowered[s]",
-                    "spec[s]", "lowered vs interp", "spec vs lowered"});
+  table.set_header({"kernel", "nnz", "regions", "lowered[s]", "spec[s]",
+                    "spec vs lowered"});
   for (const Spec& s : specs) {
     Rng rng(static_cast<std::uint64_t>(*seed) ^
             hash_mix(s.name.size() * 31));
@@ -92,10 +106,8 @@ int main(int argc, char** argv) {
     KernelRow row;
     row.kernel = s.name;
     row.nnz = p->sparse.nnz();
-    row.lowered_regions = exec.lowered_regions();
     const int r = static_cast<int>(*reps);
-    row.interp_s = time_tier(exec, *p, o, ExecTier::kInterpret, r);
-    row.lowered_s = time_tier(exec, *p, o, ExecTier::kLowered, r);
+    row.lowered_s = time_exec(exec, *p, o, r, &row.lowered_regions);
 
     // The hand-specialized ceilings (specialized.cpp).
     if (s.name == "mttkrp3") {
@@ -135,16 +147,13 @@ int main(int argc, char** argv) {
     table.add_row({row.kernel,
                    human_count(static_cast<double>(row.nnz)),
                    std::to_string(row.lowered_regions),
-                   strfmt("%.4f", row.interp_s),
                    strfmt("%.4f", row.lowered_s),
                    row.spec_s > 0 ? strfmt("%.4f", row.spec_s) : "-",
-                   ratio(row.interp_s, row.lowered_s),
                    ratio(row.lowered_s, row.spec_s)});
     rows.push_back(row);
   }
-  table.add_note("one plan per kernel; both tiers share the executor, the "
-                 "partitioning, and the accumulation order (bit-identical "
-                 "outputs)");
+  table.add_note("one plan per kernel, single thread, median of --reps; "
+                 "host: " + host_note());
   table.print(std::cout);
 
   if (!json->empty()) {
@@ -152,17 +161,18 @@ int main(int argc, char** argv) {
     os << "{\n  \"bench\": \"bench_kernels\",\n  \"unit\": \"s\",\n"
        << "  \"dim\": " << d << ",\n  \"rank\": " << *rank
        << ",\n  \"reps\": " << *reps << ",\n  \"seed\": " << *seed
+       << ",\n  \"host\": \"" << host_note() << "\""
        << ",\n  \"kernels\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const KernelRow& r = rows[i];
       os << "    {\"kernel\": \"" << r.kernel << "\", \"nnz\": " << r.nnz
          << ", \"lowered_regions\": " << r.lowered_regions
-         << ", \"interpreted_s\": " << strfmt("%.6f", r.interp_s)
          << ", \"lowered_s\": " << strfmt("%.6f", r.lowered_s)
          << ", \"specialized_s\": "
          << (r.spec_s > 0 ? strfmt("%.6f", r.spec_s) : std::string("null"))
-         << ", \"lowered_speedup\": "
-         << strfmt("%.3f", r.lowered_s > 0 ? r.interp_s / r.lowered_s : 0)
+         << ", \"lowered_over_specialized\": "
+         << (r.spec_s > 0 ? strfmt("%.3f", r.lowered_s / r.spec_s)
+                          : std::string("null"))
          << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";

@@ -6,9 +6,13 @@
 // (--json=path), same schema family as BENCH_verify.json.
 //
 // Every client runs its requests synchronously on its own thread (the
-// request is the unit of parallelism, matching Session::submit's model);
-// the cache is warmed by the prepare phase, so the measured latencies are
-// pure serve-path: signature hash, cache probe, and the compiled nest.
+// request is the unit of parallelism, matching Session::submit's model).
+// Signature hashing, the cache probe, planning and compilation all happen
+// once per kernel in the untimed prepare phase; each timed request is one
+// Session::run, which goes straight to the prepared entry's compiled
+// executor: argument binding plus one sequential execution of the nest.
+// The tensors are toy-sized, so the numbers measure dispatch overhead, not
+// throughput.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>

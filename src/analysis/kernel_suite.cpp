@@ -1,5 +1,7 @@
 #include "analysis/kernel_suite.hpp"
 
+#include <cstring>
+
 #include "tensor/generate.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -125,6 +127,41 @@ const std::vector<LintOptionSet>& lint_option_sets() {
     return s;
   }();
   return sets;
+}
+
+std::uint64_t SuiteOutput::bits_hash() const {
+  std::uint64_t h = hash_mix(0x9e3779b97f4a7c15ULL ^
+                             static_cast<std::uint64_t>(dense.size()));
+  h = hash_mix(h ^ static_cast<std::uint64_t>(sparse.size()));
+  const auto mix = [&h](const double* v, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v[i], sizeof(bits));
+      h = hash_mix(h ^ bits);
+    }
+  };
+  mix(dense.data(), static_cast<std::size_t>(dense.size()));
+  mix(sparse.data(), sparse.size());
+  return h;
+}
+
+SuiteOutput run_suite_instance(FusedExecutor& exec, const SuiteInstance& inst,
+                               int threads) {
+  SuiteOutput r;
+  ExecArgs args;
+  args.sparse = &inst.bound.csf;
+  args.dense = inst.bound.dense;
+  args.num_threads = threads;
+  args.stats = &r.stats;
+  if (inst.bound.kernel.output_is_sparse()) {
+    r.sparse.assign(static_cast<std::size_t>(inst.bound.csf.nnz()), 0.0);
+    args.out_sparse = r.sparse;
+  } else {
+    r.dense = make_output(inst.bound);
+    args.out_dense = &r.dense;
+  }
+  exec.execute(args);
+  return r;
 }
 
 }  // namespace spttn

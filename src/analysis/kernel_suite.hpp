@@ -59,9 +59,26 @@ struct LintOptionSet {
 
 /// The planner option sets spttn_lint sweeps (default, bound1 forcing the
 /// relaxation loop, one per alternative cost model, and the anytime
-/// strategy uncapped and node-budgeted). Shared with the
-/// lowered-vs-interpreted differential tests so "every paper kernel under
-/// every lint option set" means the same sweep everywhere.
+/// strategy uncapped and node-budgeted). Shared with the golden plan and
+/// output tests and the lowering-coverage tests so "every paper kernel
+/// under every lint option set" means the same sweep everywhere.
 const std::vector<LintOptionSet>& lint_option_sets();
+
+/// The output of one execution of a suite instance: the dense output, or
+/// the pattern-aligned values for sparse-output kernels.
+struct SuiteOutput {
+  DenseTensor dense;
+  std::vector<double> sparse;
+  ExecStats stats;
+
+  /// Hash of every output value's bit pattern, in storage order. Two runs
+  /// hash equal only when they agree bit for bit.
+  std::uint64_t bits_hash() const;
+};
+
+/// Execute `exec` on `inst` with `threads` lanes (1 = sequential) into a
+/// freshly zeroed output.
+SuiteOutput run_suite_instance(FusedExecutor& exec, const SuiteInstance& inst,
+                               int threads);
 
 }  // namespace spttn

@@ -135,7 +135,7 @@ class Checker {
 
   std::string index_name(int id) const {
     if (id >= 0 && id < k_.num_indices()) return k_.index_name(id);
-    return "#" + std::to_string(id);
+    return std::string("#").append(std::to_string(id));
   }
 
   std::string term_name(int t) const {
@@ -365,10 +365,12 @@ class Checker {
         match = nodes_[static_cast<std::size_t>(chain[i])].index == want[i];
       }
       if (!match) {
+        std::ostringstream msg;
+        msg << "term's enclosing loop chain is (" << chain_str(chain)
+            << ") but its declared loop order is (" << order_str(want)
+            << ")";
         error("loop-order-mismatch", path_str(chain, term_name(t)),
-              "term's enclosing loop chain is (" + chain_str(chain) +
-                  ") but its declared loop order is (" + order_str(want) +
-                  ")");
+              msg.str());
       }
     }
   }

@@ -1,31 +1,27 @@
-// Lowered execution tier: flat, pre-resolved programs (ROADMAP item 1, the
-// CoNST direction).
+// Lowered programs: the flat, pre-resolved form every FusedExecutor runs
+// (the CoNST direction: one specialized form per loop nest).
 //
-// The interpreter pays, per nonzero, a recursive run_action walk, a Kind
-// switch, and an operand resolve that re-sums (index, stride) pairs — all
-// determined entirely by the plan before the first nonzero is touched. The
-// lowerer (lower.cpp) runs once at compile time and emits this IR instead:
+// The lowerer (lower.cpp) runs once at compile time over the compiled IR
+// and emits this form for the whole program — top-level resets and scalar
+// terms included — so nothing is left to resolve per nonzero:
 //
-//  - operands carry an interned base-pointer slot plus at most kMaxDeps
-//    pre-split (index, stride) dependencies, so addressing is a short
-//    fixed-bound loop over a std::array instead of vector walks;
+//  - operands carry an interned base-pointer slot plus a run of pre-split
+//    (index, stride) dependencies in the program's flat `deps` pool;
 //  - every term's innermost kernel (dot / axpy / hadamard, unit or generic
-//    stride) is selected at lower time (InnerKind), so the per-call stride
-//    inspection in run_inner disappears;
+//    stride) is selected at lower time (InnerKind), and its outer collapsed
+//    dense levels sit in the flat `levels` pool;
 //  - a sparse loop whose body is exactly one term fuses into an LChain: one
-//    tight loop over the nonzero range with branchless per-operand
-//    addressing `invariant_base + idx[p]*idx_mult + p*leaf_mult`, dispatched
-//    through a template instantiation per InnerKind so the kernel switch is
-//    hoisted out of the nonzero loop entirely.
+//    template instantiation per InnerKind (the kernel switch hoisted out of
+//    the nonzero loop), with the loop-invariant operand addresses resolved
+//    once per chain entry and `idx[p]*idx_mult + p*leaf_mult` added per
+//    nonzero.
 //
-// Anything the lowerer cannot prove it handles stays with the interpreter:
-// lowering is per top-level region (and per sub-loop), and the executor
-// falls back node by node. Numerical contract: every lowered kernel mirrors
-// the interpreter's exact accumulation order (the kernels.cpp loops), so
-// lowered and interpreted runs are bit-identical, sequential or threaded.
+// Numerical contract: every kernel keeps the accumulation order of the
+// strided BLAS-style loops in kernels.cpp (one running sum per dot, in
+// index order), so results are deterministic run to run, sequential or
+// threaded at a fixed lane count.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -38,36 +34,27 @@ class CsfTensor;
 
 namespace spttn::lowered {
 
-/// Max pre-resolved (index, stride) dependencies per operand; accesses with
-/// more outer indices fall back to the interpreter.
-inline constexpr int kMaxDeps = 4;
-/// Max collapsed trailing dense levels per term (innermost kernel plus
-/// kMaxTermLevels - 1 outer strided levels).
-inline constexpr int kMaxTermLevels = 4;
-/// Max interned base pointers per program (dense inputs, buffers, sparse
-/// values, outputs). Paper kernels use < 10.
-inline constexpr int kMaxSlots = 48;
-
 /// One pre-resolved outer dependency: add idx_val[idx] * stride.
 struct Dep {
   std::int32_t idx = 0;
   std::int64_t stride = 0;
 };
 
-/// A term operand with its base pointer interned into the slot table and
-/// outer offsets pre-split into a fixed-bound dependency array.
+/// A term operand: its base pointer interned into the slot table and its
+/// outer offsets pre-split into `ndeps` entries of LoweredProgram::deps
+/// starting at `dep_begin`.
 struct Operand {
   std::int32_t slot = 0;
   /// Add the current CSF leaf node position (sparse values / sparse output).
   bool leaf = false;
-  std::uint8_t ndeps = 0;
-  std::array<Dep, kMaxDeps> deps{};
+  std::int32_t dep_begin = 0;
+  std::int32_t ndeps = 0;
 };
 
-/// Innermost kernel selected at lower time, mirroring the interpreter's
-/// run_inner dispatch (out-stride 0 => dot, lhs-stride 0 => axpy with lhs
-/// as alpha, rhs-stride 0 => axpy with rhs as alpha, else hadamard). The U
-/// variants are the unit-stride instantiations.
+/// Innermost kernel selected at lower time (out-stride 0 => dot,
+/// lhs-stride 0 => axpy with lhs as alpha, rhs-stride 0 => axpy with rhs as
+/// alpha, else hadamard). The U variants are the unit-stride
+/// instantiations.
 enum class InnerKind : std::uint8_t {
   kScalar,  ///< depth 0: *out += *lhs * *rhs
   kDotU,
@@ -80,39 +67,44 @@ enum class InnerKind : std::uint8_t {
   kHadG,
 };
 
-/// A lowered term: three operands, pre-selected innermost kernel over
-/// `n` elements with constant strides, and up to kMaxTermLevels - 1 outer
-/// collapsed dense levels run in the interpreter's nesting order.
+/// One outer collapsed dense level of a term: trip count and per-operand
+/// strides.
+struct Level {
+  std::int64_t ext = 0;
+  std::int64_t ls = 0, rs = 0, os = 0;
+};
+
+/// A lowered term: three operands, a pre-selected innermost kernel over
+/// `n` elements with constant strides, and `outer_depth` collapsed dense
+/// levels (LoweredProgram::levels from `level_begin`, outermost first).
 struct LTerm {
   Operand lhs, rhs, out;
   InnerKind inner = InnerKind::kScalar;
-  std::int64_t n = 0;                 ///< innermost trip count
+  std::int64_t n = 0;                   ///< innermost trip count
   std::int64_t ls = 0, rs = 0, os = 0;  ///< innermost strides
-  std::uint8_t outer_depth = 0;       ///< collapsed levels above the innermost
-  std::array<std::int64_t, kMaxTermLevels> oext{};
-  std::array<std::int64_t, kMaxTermLevels> ols{};
-  std::array<std::int64_t, kMaxTermLevels> ors{};
-  std::array<std::int64_t, kMaxTermLevels> oos{};
+  std::int32_t level_begin = 0;
+  std::int32_t outer_depth = 0;
 };
 
-/// Fused sparse loop + single term: per operand, the loop-varying part of
-/// the address is idx[p] * idx_mult + p * leaf_mult (leaf_mult is 1 for
-/// leaf-addressed operands when the chain loop is the CSF leaf level, else
-/// 0); the loop-invariant part is resolved once before the nonzero loop.
-struct LChain {
-  std::int64_t l_idx = 0, l_leaf = 0;
-  std::int64_t r_idx = 0, r_leaf = 0;
-  std::int64_t o_idx = 0, o_leaf = 0;
-  std::int32_t term = 0;  ///< LTerm holding the invariant operand parts
-};
-
-/// Body statement of a generic lowered loop.
+/// One statement: a loop, a term, or a buffer reset.
 struct LOp {
   enum class Kind : std::uint8_t { kLoop, kTerm, kReset } kind;
   std::int32_t id;
 };
 
-/// Pre-resolved buffer reset (memset run).
+/// Fused sparse loop + single term: per operand, the loop-varying part of
+/// the address is idx[p] * *_idx + p * *_leaf (*_leaf is 1 for
+/// leaf-addressed operands when the chain loop is the CSF leaf level, else
+/// 0); the LTerm holds the loop-invariant parts, resolved once per chain
+/// entry.
+struct LChain {
+  std::int64_t l_idx = 0, l_leaf = 0;
+  std::int64_t r_idx = 0, r_leaf = 0;
+  std::int64_t o_idx = 0, o_leaf = 0;
+  std::int32_t term = 0;
+};
+
+/// Pre-resolved buffer reset: zero `len` doubles at the slot base.
 struct LReset {
   std::int32_t slot = 0;
   std::int64_t len = 0;
@@ -129,44 +121,48 @@ struct LLoop {
 };
 
 /// Where a slot's base pointer comes from (bound per execution from the
-/// worker Runtime).
+/// worker runtime).
 struct SlotSource {
   cprog::Base base = cprog::Base::kDense;
   std::int32_t id = 0;
 };
 
-/// The lowered program. `loop_of` maps every compiled loop id to its
-/// lowered counterpart (-1 when that subtree stays interpreted); the
-/// executor consults it at each dispatch point, so a program may run mixed
-/// — lowered regions inline, rejected regions through the interpreter.
+/// The lowered program. `loops[i]` is the lowering of compiled loop i, so
+/// the executor's parallel partitioning (which reasons over compiled loop
+/// ids) addresses lowered loops directly; `top` mirrors the compiled
+/// top-level action sequence one to one.
 struct LoweredProgram {
   std::vector<LLoop> loops;
   std::vector<LTerm> terms;
   std::vector<LReset> resets;
+  std::vector<Dep> deps;
+  std::vector<Level> levels;
   std::vector<SlotSource> slots;
-  std::vector<std::int32_t> loop_of;
-  /// Top-level kLoop regions whose whole subtree lowered.
-  int lowered_root_regions = 0;
+  std::vector<LOp> top;
 
   /// Heap footprint of this program (for cache byte budgeting).
   std::size_t bytes() const;
 };
 
 /// Per-execution binding of a lowered program to one worker's runtime
-/// state: raw pointers into the Runtime's index/node arrays plus the
-/// resolved slot table. Cheap to build (one pass over `slots`).
+/// state: raw pointers into the runtime's index/node arrays, the resolved
+/// slot table (one base pointer per LoweredProgram::slots entry).
 struct ExecCtx {
   std::int64_t* idx_val = nullptr;
   std::int64_t* csf_node = nullptr;
   const CsfTensor* csf = nullptr;
   std::int32_t leaf_level = 0;
-  std::array<double*, kMaxSlots> table{};
+  double* const* table = nullptr;
 };
 
-/// Run lowered loop `loop` over [begin, end) — node range for sparse loops,
-/// index range for dense ones. The caller supplies the range exactly as it
-/// does for the interpreter's run_loop, so parallel partitioning (root
-/// chunks, nested second-level splits) is tier-agnostic.
+/// Run one statement; a loop runs its full range under the current
+/// bindings (all nodes of level 0, the children of the bound parent node,
+/// or the dense extent).
+void run_op(const LoweredProgram& p, ExecCtx& ctx, const LOp& op);
+
+/// Run loop `loop` over [begin, end) — node range for sparse loops, index
+/// range for dense ones. Parallel partitioning (root chunks, nested
+/// second-level splits) calls this with each task's sub-range.
 void run_loop(const LoweredProgram& p, ExecCtx& ctx, std::int32_t loop,
               std::int64_t begin, std::int64_t end);
 

@@ -44,11 +44,9 @@ std::uint64_t planner_options_hash(const PlannerOptions& options) {
   h = hash_mix(h ^ static_cast<std::uint64_t>(options.cache_d));
   h = hash_mix(h ^ (options.sparse_aware_cache ? 4u : 0u));
   h = hash_mix(h ^ static_cast<std::uint64_t>(options.max_paths_searched));
-  // search_threads, verify, and lower deliberately excluded: the parallel
-  // search returns a plan identical to the sequential one, verification
-  // never changes the plan, and the execution tier is selected per run
-  // with bit-identical results (see PlannerOptions docs), so none may
-  // fragment the cache.
+  // search_threads and verify deliberately excluded: the parallel search
+  // returns a plan identical to the sequential one and verification never
+  // changes the plan, so neither may fragment the cache.
   //
   // The anytime fields follow the same rule from the other side: under the
   // exact strategy they are inert (the plan cannot depend on them), so they
@@ -120,10 +118,10 @@ std::size_t estimate_entry_bytes(const KernelSignature& sig,
          spec.dims.size() * sizeof(std::int64_t);
   }
   // Compiled executor: the exact program footprint when the caller hands
-  // us the compiled executor (interpreted action tree + lowered flat
-  // program); otherwise the historical per-action heuristic (roughly a
-  // cache line per loop/action). Plus the intermediate-buffer storage
-  // every execution materializes.
+  // us the compiled executor (compiled IR + lowered program); otherwise
+  // the historical per-action heuristic (roughly a cache line per
+  // loop/action). Plus the intermediate-buffer storage every execution
+  // materializes.
   if (exec != nullptr) {
     b += exec->program_bytes();
   } else {
@@ -153,8 +151,6 @@ std::uint64_t parse_hex_or_throw(const std::string& s, const char* what) {
                   "malformed or missing " << what << " '" << s << "'");
   return v;
 }
-
-using Clock = std::chrono::steady_clock;
 
 }  // namespace
 
@@ -191,35 +187,16 @@ struct KernelCache::Impl {
     lru.erase(it);
   }
 
-  /// Drop every entry past its TTL. Caller holds m.
-  void sweep_expired(Clock::time_point now) {
-    if (config.ttl.count() <= 0) return;
-    for (auto it = lru.begin(); it != lru.end();) {
-      if (now - (*it)->inserted > config.ttl) {
-        counters.expired += 1;
-        erase_resident(it++);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  /// Resident probe with TTL enforcement and recency refresh. Caller
-  /// holds m; does not touch hit/miss counters.
-  std::shared_ptr<const Entry> find_resident(const KernelSignature& sig,
-                                             Clock::time_point now) {
+  /// Resident probe with recency refresh. Caller holds m; does not touch
+  /// hit/miss counters.
+  std::shared_ptr<const Entry> find_resident(const KernelSignature& sig) {
     const auto it = by_sig.find(sig);
     if (it == by_sig.end()) return nullptr;
-    if (config.ttl.count() > 0 && now - (*it->second)->inserted > config.ttl) {
-      counters.expired += 1;
-      erase_resident(it->second);
-      return nullptr;
-    }
     lru.splice(lru.begin(), lru, it->second);  // refresh recency
     return *it->second;
   }
 
-  /// Publish `entry`, evicting expired entries and LRU victims beyond the
+  /// Publish `entry`, evicting LRU victims beyond the
   /// entry-count and byte budgets. Returns the resident entry for the
   /// signature (the existing one when a concurrent planner already
   /// published it — first writer wins, the loser's work is dropped rather
@@ -230,8 +207,6 @@ struct KernelCache::Impl {
                                        bool replace) {
     std::lock_guard<std::mutex> lk(m);
     if (pass_through() || entry->bytes > config.max_bytes) return entry;
-    const auto now = Clock::now();
-    sweep_expired(now);
     const auto it = by_sig.find(entry->signature);
     if (it != by_sig.end()) {
       if (!replace) {
@@ -240,7 +215,6 @@ struct KernelCache::Impl {
       }
       erase_resident(it->second);
     }
-    entry->inserted = now;
     counters.inserts += 1;
     counters.bytes_resident += entry->bytes;
     lru.push_front(std::move(entry));
@@ -269,7 +243,7 @@ KernelCache::~KernelCache() = default;
 std::shared_ptr<const KernelCache::Entry> KernelCache::lookup(
     const KernelSignature& sig) {
   std::lock_guard<std::mutex> lk(impl_->m);
-  auto hit = impl_->find_resident(sig, Clock::now());
+  auto hit = impl_->find_resident(sig);
   if (hit == nullptr) {
     impl_->counters.misses += 1;
   } else {
@@ -286,7 +260,7 @@ std::shared_ptr<const KernelCache::Entry> KernelCache::get_or_plan(
   bool leader = false;
   {
     std::lock_guard<std::mutex> lk(impl_->m);
-    if (auto hit = impl_->find_resident(sig, Clock::now())) {
+    if (auto hit = impl_->find_resident(sig)) {
       impl_->counters.hits += 1;
       if (was_cached != nullptr) *was_cached = true;
       return hit;
@@ -563,7 +537,6 @@ void run_plan(const BoundKernel& bound, KernelCache& cache,
   args.out_dense = out_dense;
   args.out_sparse = out_sparse;
   args.num_threads = num_threads;
-  args.tier = options.lower ? ExecTier::kLowered : ExecTier::kInterpret;
   entry->exec->execute(args);
 }
 

@@ -13,8 +13,8 @@
 //
 // Fleet-grade admission policy: compiled executors and their per-execution
 // buffer working sets are the heavy part of an entry, so the cache budgets
-// bytes (Config::max_bytes) in addition to entry count, with TTL expiry as
-// a second knob for long-lived servers. Plans persist: save_dir writes
+// bytes (Config::max_bytes) in addition to entry count. Plans persist:
+// save_dir writes
 // every resident plan as a versioned, checksummed artifact (core/plan_io)
 // and load_dir re-admits them through the static plan verifier plus the
 // sparsity-fingerprint consistency check, so a restarted process serves
@@ -22,7 +22,6 @@
 // corrupted artifact can never reach an executor.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -76,8 +75,8 @@ std::uint64_t planner_options_hash(const PlannerOptions& options);
 class KernelCache {
  public:
   /// Admission/eviction policy. Entry count and resident bytes are both
-  /// budgets (eviction triggers on whichever is exceeded); TTL is absolute
-  /// from insertion. A zero capacity or zero byte budget makes the cache a
+  /// budgets (eviction triggers on whichever is exceeded). A zero capacity
+  /// or zero byte budget makes the cache a
   /// pass-through: get_or_plan still plans, verifies and returns working
   /// entries (and still deduplicates concurrent planning), but nothing is
   /// ever inserted — there is no insert-then-immediately-evict churn.
@@ -87,9 +86,6 @@ class KernelCache {
     /// Maximum summed Entry::bytes resident; 0 = pass-through, the default
     /// (SIZE_MAX) is unbounded.
     std::size_t max_bytes = std::numeric_limits<std::size_t>::max();
-    /// Entries older than this (since insertion) are expired on the next
-    /// probe or insertion sweep; zero disables expiry.
-    std::chrono::milliseconds ttl{0};
   };
 
   /// One memoized planning result.
@@ -103,9 +99,6 @@ class KernelCache {
     /// structures, the compiled program's metadata, and the executor's
     /// per-execution buffer working set. The byte budget sums these.
     std::size_t bytes = 0;
-    /// Insertion time (steady clock) driving TTL expiry; meaningless for
-    /// pass-through entries that were never resident.
-    std::chrono::steady_clock::time_point inserted{};
   };
 
   /// Hit/miss/eviction counters for observability (bench_serve, the
@@ -117,7 +110,6 @@ class KernelCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;  ///< capacity- or byte-budget evictions
-    std::uint64_t expired = 0;    ///< TTL expirations
     std::uint64_t inserts = 0;
     /// Planner searches actually executed (misses that were not coalesced).
     std::uint64_t planned = 0;
@@ -132,15 +124,14 @@ class KernelCache {
   /// Legacy count-only constructor: `capacity` bounds the number of
   /// resident entries, bytes unbounded. Capacity 0 = pass-through.
   explicit KernelCache(std::size_t capacity = 128);
-  /// Fleet configuration: entry count, byte budget, TTL.
+  /// Fleet configuration: entry count and byte budget.
   explicit KernelCache(const Config& config);
   ~KernelCache();
 
   KernelCache(const KernelCache&) = delete;
   KernelCache& operator=(const KernelCache&) = delete;
 
-  /// Probe without planning; null on miss. Counts a hit or a miss; an
-  /// entry past its TTL is expired (counted, erased) and reported a miss.
+  /// Probe without planning; null on miss. Counts a hit or a miss.
   std::shared_ptr<const Entry> lookup(const KernelSignature& sig);
 
   /// The workhorse: return the cached entry for (kernel, stats, options),
@@ -203,7 +194,7 @@ class KernelCache {
   /// the plan's recorded fingerprint) — before it becomes resident. A
   /// corrupted, truncated, version-mismatched or wrong-fingerprint
   /// artifact is rejected with a structured error; it can never execute.
-  /// Loaded entries land with fresh TTL and count as inserts, not
+  /// Loaded entries count as inserts, not
   /// planner searches — after a warm load, get_or_plan over the same
   /// problems is pure hits (Counters::planned stays 0). On a pass-through
   /// cache the sweep rejects everything (nothing can become resident).
@@ -227,11 +218,10 @@ class KernelCache {
 /// Estimated resident bytes of one cache entry: signature + kernel + plan
 /// (path, order, tree, buffers) structure sizes plus the compiled
 /// executor's program metadata and per-execution buffer working set.
-/// When `exec` is provided, its actual program footprint (the interpreted
-/// action tree plus the lowered flat program,
-/// FusedExecutor::program_bytes) replaces the per-action metadata
-/// heuristic, so max_bytes budgeting charges what the executor really
-/// holds. Exposed for tests and the spttn_cache inspect CLI.
+/// When `exec` is provided, its actual program footprint (the compiled IR
+/// plus the lowered program, FusedExecutor::program_bytes) replaces the
+/// per-action metadata heuristic, so max_bytes budgeting charges what the
+/// executor really holds. Exposed for tests and the spttn_cache inspect CLI.
 std::size_t estimate_entry_bytes(const KernelSignature& sig,
                                  const Kernel& kernel, const Plan& plan,
                                  const FusedExecutor* exec = nullptr);

@@ -43,4 +43,15 @@ inline std::unique_ptr<Instance> make_instance(const KernelCase& kc,
   return make_suite_instance(kc, seed);
 }
 
+/// A generated network as a suite entry with the given nonzero fraction,
+/// so make_suite_instance can bind it.
+inline SuiteKernel to_suite(const GeneratedNetwork& net, double sparsity) {
+  SuiteKernel sk;
+  sk.name = net.name;
+  sk.expr = net.expr;
+  sk.dims = net.dims;
+  sk.sparsity = sparsity;
+  return sk;
+}
+
 }  // namespace spttn::testing

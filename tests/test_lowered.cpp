@@ -1,183 +1,179 @@
-// Differential suite for the lowered execution tier (exec/lower.hpp): the
-// flat pre-resolved programs must agree with the interpreter on every paper
-// kernel under every lint planner-option set, sequentially and under the
-// work-stealing pool — and not just to tolerance: the lowered kernels
-// mirror the interpreter's accumulation order, and partitioning is
-// tier-agnostic, so the comparison is for equality, which trivially
-// satisfies the 1e-12 acceptance bound. Also covers the forced-fallback
-// path (a rejected program still executes correctly through the
-// interpreter), ExecStats tier observability, and the serving-layer
-// contract that toggling PlannerOptions::lower never fragments the cache.
+// Lowered programs (exec/lower.hpp) are the only thing FusedExecutor runs,
+// so this suite pins them three ways:
+//  - coverage: every top-level region of every paper kernel under every
+//    lint option set, and of generated order-6/7/8 networks, has a lowered
+//    body (lowered_regions, counted on the lowered program, equals
+//    total_regions, counted on the compiled one). This only shows the
+//    lowerer emitted each region; that the lowered form computes the right
+//    thing — top-level resets and scalar terms, shapes beyond any fixed
+//    per-operand cap — is shown by the next check;
+//  - correctness: each output agrees with the UnfactorizedExecutor oracle
+//    to 1e-9, sequentially and on 4 lanes, and reruns are bit-identical;
+//  - golden bits: the suite's output hashes match tests/golden/
+//    output_hashes.txt (written by tools/spttn_golden), so a change to the
+//    lowering or the partitioning that flips a single output bit fails.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <cmath>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/kernel_suite.hpp"
 #include "exec/executor.hpp"
-#include "exec/lower.hpp"
+#include "exec/unfactorized.hpp"
 #include "serve/kernel_cache.hpp"
-#include "serve/session.hpp"
 #include "test_helpers.hpp"
 
 namespace spttn {
 namespace {
 
 using spttn::testing::ScopedLanes;
+using spttn::testing::to_suite;
 
-struct TierRun {
-  DenseTensor dense;
-  std::vector<double> sparse;
-  ExecStats stats;
-};
+/// Lane count of the threaded runs; tools/spttn_golden hashes with the
+/// same count.
+constexpr int kLanes = 4;
 
-TierRun run_tier(FusedExecutor& exec, const SuiteInstance& inst,
-                 ExecTier tier, int threads) {
-  TierRun r;
-  ExecArgs args;
-  args.sparse = &inst.bound.csf;
-  args.dense = inst.bound.dense;
-  args.num_threads = threads;
-  args.tier = tier;
-  args.stats = &r.stats;
-  if (inst.bound.kernel.output_is_sparse()) {
-    r.sparse.assign(static_cast<std::size_t>(inst.bound.csf.nnz()), 0.0);
-    args.out_sparse = r.sparse;
-  } else {
-    r.dense = make_output(inst.bound);
-    args.out_dense = &r.dense;
-  }
-  exec.execute(args);
-  return r;
-}
-
-void expect_identical(const TierRun& a, const TierRun& b, const char* what) {
+void expect_identical(const SuiteOutput& a, const SuiteOutput& b,
+                      const std::string& what) {
   ASSERT_EQ(a.dense.size(), b.dense.size()) << what;
   for (std::int64_t i = 0; i < a.dense.size(); ++i) {
-    EXPECT_EQ(a.dense.data()[i], b.dense.data()[i])
+    ASSERT_EQ(a.dense.data()[i], b.dense.data()[i])
         << what << " dense output diverges at " << i;
   }
-  ASSERT_EQ(a.sparse.size(), b.sparse.size()) << what;
-  for (std::size_t i = 0; i < a.sparse.size(); ++i) {
-    EXPECT_EQ(a.sparse[i], b.sparse[i])
-        << what << " sparse output diverges at " << i;
+  ASSERT_EQ(a.sparse, b.sparse) << what;
+}
+
+/// Max abs difference against the all-at-once reference.
+double diff_vs_unfactorized(const SuiteInstance& inst, const SuiteOutput& r) {
+  UnfactorizedExecutor reference(inst.bound.kernel);
+  if (inst.bound.kernel.output_is_sparse()) {
+    std::vector<double> want(r.sparse.size(), 0.0);
+    reference.execute(inst.bound.csf, inst.bound.dense, nullptr, want);
+    double d = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      d = std::max(d, std::abs(want[i] - r.sparse[i]));
+    }
+    return d;
   }
+  DenseTensor want = make_output(inst.bound);
+  reference.execute(inst.bound.csf, inst.bound.dense, &want, {});
+  return r.dense.max_abs_diff(want);
+}
+
+/// Every region lowered, the oracle agrees, and a rerun flips no bit.
+void check_program(FusedExecutor& exec, const SuiteInstance& inst,
+                   int threads, const std::string& label) {
+  const SuiteOutput r = run_suite_instance(exec, inst, threads);
+  EXPECT_TRUE(r.stats.populated) << label;
+  EXPECT_GT(r.stats.total_regions, 0) << label;
+  EXPECT_EQ(r.stats.lowered_regions, r.stats.total_regions) << label;
+  EXPECT_LT(diff_vs_unfactorized(inst, r), 1e-9) << label;
+  expect_identical(r, run_suite_instance(exec, inst, threads), label);
 }
 
 TEST(LoweredDifferential, SequentialSuiteAcrossAllLintOptionSets) {
-  int total_lowered_regions = 0;
   for (const SuiteKernel& sk : paper_kernel_suite()) {
     const auto inst = make_suite_instance(sk, 42);
     for (const LintOptionSet& set : lint_option_sets()) {
-      const std::string label = sk.name + " [" + set.name + "]";
       const Plan plan =
           make_plan(inst->bound.kernel, inst->bound.stats, set.options);
       FusedExecutor exec(inst->bound.kernel, plan);
-      total_lowered_regions += exec.lowered_regions();
-      const TierRun interp =
-          run_tier(exec, *inst, ExecTier::kInterpret, /*threads=*/1);
-      const TierRun lowered =
-          run_tier(exec, *inst, ExecTier::kLowered, /*threads=*/1);
-      expect_identical(interp, lowered, label.c_str());
-      EXPECT_EQ(interp.stats.tier, ExecTier::kInterpret) << label;
-      EXPECT_EQ(interp.stats.lowered_regions, 0) << label;
-      EXPECT_EQ(lowered.stats.tier, ExecTier::kLowered) << label;
-      EXPECT_EQ(lowered.stats.lowered_regions, exec.lowered_regions())
-          << label;
-    }
-  }
-  // The lowerer must actually engage across the sweep, not pass vacuously
-  // by rejecting everything.
-  EXPECT_GT(total_lowered_regions, 0);
-}
-
-TEST(LoweredDifferential, ThreadedSuiteBitIdenticalAcrossTiersAndReruns) {
-  ScopedLanes lanes(4);
-  for (const SuiteKernel& sk : paper_kernel_suite()) {
-    const auto inst = make_suite_instance(sk, 42);
-    for (const LintOptionSet& set : lint_option_sets()) {
-      const std::string label = sk.name + " [" + set.name + "]";
-      const Plan plan =
-          make_plan(inst->bound.kernel, inst->bound.stats, set.options);
-      FusedExecutor exec(inst->bound.kernel, plan);
-      const TierRun interp =
-          run_tier(exec, *inst, ExecTier::kInterpret, /*threads=*/4);
-      const TierRun lowered =
-          run_tier(exec, *inst, ExecTier::kLowered, /*threads=*/4);
-      const TierRun rerun =
-          run_tier(exec, *inst, ExecTier::kLowered, /*threads=*/4);
-      // Same partition shape => bit-identical across tiers and reruns.
-      expect_identical(interp, lowered, label.c_str());
-      expect_identical(lowered, rerun, label.c_str());
-      // Sequential lowered agrees too (the deterministic tiled reduction
-      // makes threaded == sequential only when writes are direct, so only
-      // compare tiers at matching thread counts here).
-      EXPECT_EQ(lowered.stats.tier, ExecTier::kLowered) << label;
+      check_program(exec, *inst, 1, sk.name + " [" + set.name + "]");
     }
   }
 }
 
-TEST(LoweredDifferential, ForcedFallbackExecutesThroughInterpreter) {
-  const auto& suite = paper_kernel_suite();
-  const auto inst = make_suite_instance(suite.front(), 7);  // mttkrp3
-  const Plan plan =
-      make_plan(inst->bound.kernel, inst->bound.stats, PlannerOptions{});
-  FusedExecutor exec(inst->bound.kernel, plan);
-  ASSERT_GT(exec.lowered_regions(), 0);
-  const TierRun before = run_tier(exec, *inst, ExecTier::kLowered, 1);
-
-  // Reject every operand with an outer index dependency: nothing lowers,
-  // and a kLowered execution must fall back to the interpreter wholesale.
-  LowerLimits strict;
-  strict.max_operand_deps = 0;
-  exec.relower(strict);
-  EXPECT_EQ(exec.lowered_regions(), 0);
-  const TierRun fallback = run_tier(exec, *inst, ExecTier::kLowered, 1);
-  EXPECT_EQ(fallback.stats.tier, ExecTier::kLowered);
-  EXPECT_EQ(fallback.stats.lowered_regions, 0);
-  expect_identical(before, fallback, "forced fallback");
-
-  // Chains disabled still lowers (generic loops only) and still agrees.
-  LowerLimits no_chains;
-  no_chains.enable_chains = false;
-  exec.relower(no_chains);
-  const TierRun generic = run_tier(exec, *inst, ExecTier::kLowered, 1);
-  expect_identical(before, generic, "chains disabled");
-
-  // Restoring the defaults restores the chain-fused program.
-  exec.relower(LowerLimits{});
-  EXPECT_GT(exec.lowered_regions(), 0);
+TEST(LoweredDifferential, ThreadedSuiteBitIdenticalAcrossReruns) {
+  ScopedLanes lanes(kLanes);
+  for (const SuiteKernel& sk : paper_kernel_suite()) {
+    const auto inst = make_suite_instance(sk, 42);
+    for (const LintOptionSet& set : lint_option_sets()) {
+      const Plan plan =
+          make_plan(inst->bound.kernel, inst->bound.stats, set.options);
+      FusedExecutor exec(inst->bound.kernel, plan);
+      check_program(exec, *inst, kLanes, sk.name + " [" + set.name + "]");
+    }
+  }
 }
 
-TEST(LoweredDifferential, LowerKnobDoesNotFragmentCacheOrChangeResults) {
-  PlannerOptions on;
-  PlannerOptions off;
-  off.lower = false;
-  EXPECT_EQ(planner_options_hash(on), planner_options_hash(off));
-
-  const auto& suite = paper_kernel_suite();
-  const auto inst = make_suite_instance(suite.front(), 11);
-  KernelCache cache;
-  Session lowered_session(inst->sparse, on, &cache);
-  Session interp_session(inst->sparse, off, &cache);
-  std::vector<const DenseTensor*> slots;
-  for (const DenseTensor* d : inst->dense_slots()) {
-    if (d != nullptr) slots.push_back(d);
+/// tests/golden/output_hashes.txt: "<kernel>__<set> <1 lane> <4 lanes>".
+std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>
+read_golden_hashes() {
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> out;
+  std::ifstream in(std::string(SPTTN_SOURCE_DIR) +
+                   "/tests/golden/output_hashes.txt");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream ls(line);
+    std::string name, seq, threaded;
+    ls >> name >> seq >> threaded;
+    out[name] = {std::stoull(seq, nullptr, 16),
+                 std::stoull(threaded, nullptr, 16)};
   }
-  const std::string expr = inst->bound.kernel.to_string();
-  const int id_on = lowered_session.prepare(expr, slots);
-  const int id_off = interp_session.prepare(expr, slots);
-  // One planner search: the tier knob is excluded from the signature, so
-  // both sessions share a single cache entry (and its executor).
-  EXPECT_EQ(cache.counters().planned, 1u);
+  return out;
+}
 
-  DenseTensor out_on = lowered_session.make_output(id_on);
-  DenseTensor out_off = interp_session.make_output(id_off);
-  lowered_session.run(id_on, &out_on, {});
-  interp_session.run(id_off, &out_off, {});
-  ASSERT_EQ(out_on.size(), out_off.size());
-  for (std::int64_t i = 0; i < out_on.size(); ++i) {
-    EXPECT_EQ(out_on.data()[i], out_off.data()[i]);
+// The deletion of the interpreter (and any later executor change) must
+// not flip an output bit: the hashes were taken when the interpreter and
+// the lowered programs still ran side by side and agreed on every program.
+TEST(LoweredDifferential, OutputsMatchGoldenHashes) {
+  const auto golden = read_golden_hashes();
+  ASSERT_EQ(golden.size(),
+            paper_kernel_suite().size() * lint_option_sets().size())
+      << "missing or partial golden output hashes — regenerate with "
+         "tools/spttn_golden";
+  ScopedLanes lanes(kLanes);
+  for (const SuiteKernel& sk : paper_kernel_suite()) {
+    const auto inst = make_suite_instance(sk, 42);
+    for (const LintOptionSet& set : lint_option_sets()) {
+      const std::string name = sk.name + "__" + set.name;
+      const auto it = golden.find(name);
+      ASSERT_NE(it, golden.end()) << name;
+      const Plan plan =
+          make_plan(inst->bound.kernel, inst->bound.stats, set.options);
+      FusedExecutor exec(inst->bound.kernel, plan);
+      EXPECT_EQ(run_suite_instance(exec, *inst, 1).bits_hash(),
+                it->second.first)
+          << name << " sequential";
+      EXPECT_EQ(run_suite_instance(exec, *inst, kLanes).bits_hash(),
+                it->second.second)
+          << name << " " << kLanes << " lanes";
+    }
+  }
+}
+
+// Generated networks reach shapes the paper suite does not: operands with
+// many outer indices and terms with many collapsed levels (several of
+// these lowered only partly while the lowerer had fixed per-operand caps,
+// e.g. order 6 seed 1090 and order 8 seed 1091). Planned with a node
+// budget, not a wall-clock one, so the plans are deterministic.
+TEST(LoweringCoverage, GeneratedOrder6To8NetworksLowerFully) {
+  PlannerOptions anytime;
+  anytime.strategy = StrategyKind::kAnytime;
+  anytime.budget.max_nodes = 256;
+  std::vector<GeneratedNetwork> nets;
+  for (int order = 6; order <= 8; ++order) {
+    for (std::uint64_t seed = 1090; seed < 1094; ++seed) {
+      Rng rng(seed);
+      nets.push_back(random_network(order, 3, 3, rng));
+    }
+    nets.push_back(tensor_train_network(order, 3, 2));
+  }
+  ScopedLanes lanes(kLanes);
+  for (const GeneratedNetwork& net : nets) {
+    const std::string label = net.name + ": " + net.expr;
+    const auto inst = make_suite_instance(to_suite(net, 0.01), 42);
+    const Plan plan = make_plan(inst->bound.kernel, inst->bound.stats, anytime);
+    FusedExecutor exec(inst->bound.kernel, plan);
+    check_program(exec, *inst, 1, label + " sequential");
+    check_program(exec, *inst, kLanes, label + " threaded");
   }
 }
 

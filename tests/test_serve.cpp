@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -779,22 +778,6 @@ TEST(KernelCache, OversizedEntryServedButNeverAdmitted) {
   EXPECT_EQ(cache.counters().entries, 0u);
   EXPECT_EQ(cache.counters().inserts, 0u);
   EXPECT_EQ(cache.counters().evictions, 0u);
-}
-
-TEST(KernelCache, TtlExpiresEntries) {
-  auto inst = make_instance(kernel_case("mttkrp3"), 48);
-  KernelCache::Config cfg;
-  cfg.ttl = std::chrono::milliseconds(1);
-  KernelCache cache(cfg);
-  (void)cache.get_or_plan(inst->bound);
-  EXPECT_EQ(cache.counters().entries, 1u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  bool was_cached = true;
-  (void)cache.get_or_plan(inst->bound, {}, &was_cached);
-  EXPECT_FALSE(was_cached);  // expired, replanned
-  const auto c = cache.counters();
-  EXPECT_GE(c.expired, 1u);
-  EXPECT_EQ(c.planned, 2u);
 }
 
 }  // namespace
